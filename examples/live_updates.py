@@ -8,7 +8,7 @@ shows what changed:
    with the ``data_version`` it observed;
 2. `service.apply_writes` commits an atomic batch of inserts and deletes —
    indexes are maintained incrementally (only the touched buckets rebuild)
-   and every serving cache is invalidated *scoped* to the written relations;
+   and the compiled template, being analysis of the query alone, survives;
 3. the next answer reflects the write, the version stamp advances by exactly
    one per committed batch, and the access bound Σ Mᵢ still holds;
 4. the same write applied through a 2-shard `ShardedQueryService`: the

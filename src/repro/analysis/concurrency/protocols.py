@@ -23,6 +23,15 @@ writers must replace them wholesale (build a new dict, publish by
 rebinding) and never mutate them in place.  Any post-construction write —
 including subscript stores and mutator calls rooted at the attribute,
 like ``self._buckets[key].append(row)`` — is a finding.
+
+The read side has one rule of its own.  A structure another thread may
+resize — a ``# published-snapshot``, or a memo pinned ``# guarded-by: none``
+that readers insert into lock-free — must not be iterated in place
+(``for k in self._memo`` / ``.items()`` / ``.values()`` / ``.keys()``, loop
+or comprehension): a concurrent insert raises ``dictionary changed size
+during iteration`` mid-loop.  Iterate an atomic copy instead —
+``self._memo.copy()`` or ``list(self._memo.items())`` complete in one
+C-level step.
 """
 
 from __future__ import annotations
@@ -30,8 +39,11 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 
-from .guards import make_spec
+from .guards import is_self_attr, make_spec
 from .locksets import ClassAnalysis
+
+#: Dict methods returning a live view: iterating one iterates the dict.
+_VIEWS = frozenset({"items", "values", "keys"})
 
 
 @dataclass(frozen=True)
@@ -208,8 +220,22 @@ def seqlock_findings(analysis: ClassAnalysis) -> list[tuple[int, str]]:
     return findings
 
 
+def _iterated_in_place(iterable: ast.expr, attrs: frozenset[str]) -> str | None:
+    """The attribute of ``attrs`` that ``iterable`` walks without copying, if any."""
+    if (
+        isinstance(iterable, ast.Call)
+        and isinstance(iterable.func, ast.Attribute)
+        and iterable.func.attr in _VIEWS
+        and not iterable.args
+    ):
+        iterable = iterable.func.value
+    if is_self_attr(iterable) and iterable.attr in attrs:  # type: ignore[union-attr]
+        return iterable.attr  # type: ignore[union-attr]
+    return None
+
+
 def snapshot_findings(analysis: ClassAnalysis) -> list[tuple[int, str]]:
-    """CONC004: in-place mutation of a published copy-on-write snapshot."""
+    """CONC004: a lock-free shared structure mutated, or iterated, in place."""
     findings = []
     for access in analysis.accesses:
         if (
@@ -226,4 +252,29 @@ def snapshot_findings(analysis: ClassAnalysis) -> list[tuple[int, str]]:
                     f"rebind a fresh structure (copy-on-write)",
                 )
             )
+    lock_free = analysis.snapshots | {
+        attr
+        for attr, spec in analysis.guard_specs.items()
+        if spec.source == "annotated" and spec.mode == "none"
+    }
+    for method in analysis.node.body:
+        if (
+            not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+            or method.name in analysis.setup
+        ):
+            continue
+        for node in ast.walk(method):
+            if not isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)):
+                continue
+            attr = _iterated_in_place(node.iter, lock_free)
+            if attr is not None:
+                findings.append(
+                    (
+                        node.iter.lineno,
+                        f"{analysis.name}.{method.name}: self.{attr} is shared "
+                        f"lock-free and iterated in place — a concurrent "
+                        f"insert resizes it mid-loop; iterate an atomic copy "
+                        f"(self.{attr}.copy(), list(self.{attr}.items()))",
+                    )
+                )
     return findings

@@ -11,7 +11,9 @@ baseline file — and runs through the same driver
 * **CONC002** — lock-order cycles (potential deadlock) and re-acquisition
   of a non-reentrant lock (guaranteed self-deadlock).
 * **CONC003** — seqlock discipline on annotated epoch attributes.
-* **CONC004** — in-place mutation of ``# published-snapshot`` structures.
+* **CONC004** — in-place mutation of ``# published-snapshot`` structures,
+  and in-place iteration of any lock-free shared structure (a snapshot or a
+  ``# guarded-by: none`` memo) instead of an atomic copy.
 * **CONC005** — blocking calls while holding any inferred lock.
 
 The module-level analysis is shared: the first rule to check a module
@@ -125,7 +127,8 @@ class SnapshotDisciplineRule(_ConcurrencyRule):
     id = "CONC004"
     description = (
         "published copy-on-write snapshot mutated in place instead of "
-        "rebound to a fresh structure"
+        "rebound to a fresh structure, or a lock-free shared structure "
+        "iterated in place instead of through an atomic copy"
     )
 
 

@@ -84,13 +84,6 @@ class BoundedExecutor:
         self._prepared_schemas: "weakref.WeakKeyDictionary[StorageBackend, dict[int, tuple[AccessSchema, int]]]" = (
             weakref.WeakKeyDictionary()
         )
-        # Backend data_version each cache entry was built against; snapshot
-        # backends (in-memory hash indexes) bump it on mutation, and a
-        # mismatch here evicts the stale AccessIndexes instead of serving
-        # views over discarded buckets.
-        self._index_versions: "weakref.WeakKeyDictionary[StorageBackend, int]" = (
-            weakref.WeakKeyDictionary()
-        )
 
     # -- preparation -------------------------------------------------------------------
 
@@ -111,8 +104,8 @@ class BoundedExecutor:
     def _prepare_locked(
         self, backend: StorageBackend, access_schema: AccessSchema
     ) -> AccessIndexes:
-        version = backend.data_version
-        fresh = self._index_versions.get(backend) == version
+        cached = self._index_cache.get(backend)
+        fresh = cached is not None and cached.data_version == backend.data_version
         seen = self._prepared_schemas.get(backend)
         if seen is not None and fresh:
             entry = seen.get(id(access_schema))
@@ -121,31 +114,30 @@ class BoundedExecutor:
             # schema that gained constraints since it was memoized re-takes
             # the full path and builds the missing indexes.
             if entry is not None and entry[1] == len(access_schema):
-                return self._index_cache[backend]
-        cached = self._index_cache.get(backend)
-        if cached is None or not fresh:
-            # First preparation, or the backend's data changed since the
-            # cached AccessIndexes were built (its views wrap discarded
-            # snapshots): rebuild from scratch and forget the schema memo.
-            # The rebuild follows the backend's seqlock protocol so a write
-            # batch committing mid-build can never pair new index data with
-            # an old version stamp (or vice versa): observe an even write
-            # epoch, read the version, build, and retry if the epoch moved.
+                return cached
+        if not fresh:
+            # First preparation, or the backend committed a write since the
+            # cached AccessIndexes were bound: bind a new collection over
+            # everything prepared so far.  The backend hands back the views
+            # it still holds for relations the write did not touch, so only
+            # the written relations' views are rebuilt, and the schema memo
+            # stays valid.  The rebind follows the backend's seqlock protocol
+            # so a write batch committing mid-build can never pair new index
+            # data with an old version stamp (or vice versa): observe an even
+            # write epoch, read the version, build, and retry if the epoch
+            # moved.
+            bound = [view.constraint for view in cached or ()]
+            wanted = dict.fromkeys([*bound, *access_schema])
             while True:
                 epoch = backend.write_epoch
                 if epoch % 2:
                     continue  # a commit is in progress; re-observe
                 version = backend.data_version
-                cached = build_access_indexes(
-                    backend, access_schema, self.enforce_bounds
-                )
+                cached = build_access_indexes(backend, wanted, self.enforce_bounds)
                 if backend.write_epoch == epoch:
                     break
             cached.data_version = version
             self._index_cache[backend] = cached
-            self._index_versions[backend] = version
-            seen = None
-            self._prepared_schemas.pop(backend, None)
         else:
             missing = AccessSchema(
                 constraint

@@ -82,10 +82,12 @@ class LRUCache(Generic[K, V]):
     second ``put`` wins; for the engine's caches that duplicate work is
     benign because compilations of equal keys are interchangeable.
 
-    Entries may carry a *relation dependency set* (``put(..., relations=...)``)
-    so the live write path can invalidate precisely: ``invalidate(relations)``
-    drops exactly the entries depending on a written relation, leaving the
-    rest of a warm cache intact.
+    Entries that hold *data* (the service's stale answers) carry a relation
+    dependency set (``put(..., relations=...)``) so the live write path can
+    invalidate precisely: ``invalidate(relations)`` drops exactly the entries
+    depending on a written relation, leaving the rest of a warm cache intact.
+    The engine's caches hold analysis of the query and the access schema
+    only; they are never tagged and no write drops them.
 
     Example
     -------

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any
 
 from ..access.indexes import AccessIndexes
 from ..access.schema import AccessSchema
@@ -42,16 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (analysis -> executio
 
 #: Default capacity of the per-engine bounded-plan LRU cache.
 DEFAULT_PLAN_CACHE_SIZE = 256
-
-
-def _query_relations(query: SPCQuery) -> tuple[str, ...]:
-    """Relation names a query's cached artifacts depend on (dedup, ordered).
-
-    The dependency set tagged onto every serving-cache entry: a plan,
-    negative verdict or prepared template is stale exactly when data in one
-    of the relations its atoms read changes.
-    """
-    return tuple(dict.fromkeys(atom.schema.name for atom in query.atoms))
 #: Default capacity of the negative (not-effectively-bounded) verdict cache.
 #: Entries are tiny (a shape key and a message), so it can be roomier.
 DEFAULT_NEGATIVE_CACHE_SIZE = 1024
@@ -180,6 +170,12 @@ class BoundedEngine:
     a cold cache key may both compute the entry (one result is kept); that
     duplicate work is benign because compilations of equal keys are
     interchangeable.
+
+    Writes: everything cached here — plans, negative verdicts, prepared
+    templates and their Σ Mᵢ certificates — is analysis of ``Q`` and ``A``
+    alone, so a committed write batch drops none of it.  What a write does
+    outdate is the executor's bound index snapshot, which is stamped with
+    the store's ``data_version`` and re-bound on the next request.
     """
 
     def __init__(
@@ -304,11 +300,9 @@ class BoundedEngine:
         try:
             plan = qplan(query, self.access_schema)
         except NotEffectivelyBoundedError as error:
-            self._negative_cache.put(
-                query.plan_shape, str(error), relations=_query_relations(query)
-            )
+            self._negative_cache.put(query.plan_shape, str(error))
             raise
-        self._plan_cache.put(query, plan, relations=_query_relations(query))
+        self._plan_cache.put(query, plan)
         return plan
 
     def prepare_query(
@@ -372,9 +366,7 @@ class BoundedEngine:
                 prepare_plan(template, self.access_schema),
                 executor=self._bounded_executor,
             )
-            self._prepared_cache.put(
-                key, prepared, relations=_query_relations(template.query)
-            )
+            self._prepared_cache.put(key, prepared)
         should_verify = self.verify_plans if verify is None else verify
         if should_verify and prepared.certificate is None:
             # Imported lazily: repro.analysis sits above the execution layer.
@@ -390,30 +382,6 @@ class BoundedEngine:
             prepared.certify(certificate)
             self._record_verification(certificate)
         return prepared
-
-    def invalidate(self, relations: "Iterable[str]") -> dict[str, int]:
-        """Drop serving-cache entries depending on any of ``relations``.
-
-        The write path's cache hook: after a write batch commits, the engine
-        forgets exactly the plans, negative EBCheck verdicts and prepared
-        templates whose queries read a written relation — entries over other
-        relations stay warm.  Returns the number of entries dropped per
-        cache (keys ``"plan"``, ``"negative"``, ``"prepared"``).
-
-        Note that plans and verdicts are *data-independent* static analysis;
-        invalidating them is about executions bound to superseded index
-        snapshots, not about the analysis itself going stale.  A re-planned
-        query yields an identical plan — the harness's mutation tests rely on
-        exactly this hook being called to pass.
-        """
-        names = tuple(dict.fromkeys(relations))
-        if not names:
-            return {"plan": 0, "negative": 0, "prepared": 0}
-        return {
-            "plan": self._plan_cache.invalidate(names),
-            "negative": self._negative_cache.invalidate(names),
-            "prepared": self._prepared_cache.invalidate(names),
-        }
 
     def cache_info(self) -> dict[str, CacheStats | BackendInfo | VerifierInfo]:
         """Hit/miss/eviction counters for the serving-path caches, per backend seam.

@@ -161,13 +161,20 @@ class Database:
 
         Every row of every relation is validated before anything is applied
         (all-or-nothing at the batch level); per relation, deletes land before
-        inserts.  Hash indexes are maintained *incrementally*: each index on a
-        written relation is replaced by its copy-on-write
-        :meth:`~repro.relational.indexes.HashIndex.derived` successor (only
-        touched buckets rebuilt), and the superseded snapshots stay valid for
-        in-flight executions that already bound them.  The batch commits with
-        a single ``data_version`` bump — the linearization point every
-        version-stamped reader observes.
+        inserts.  The batch is *staged* first — victims located through the
+        relation's position map, each index on a written relation succeeded by
+        its copy-on-write :meth:`~repro.relational.indexes.HashIndex.derived`
+        copy — and only then published: relation rows, catalog entries and
+        versions change together inside the seqlock window, so a failure
+        while staging leaves the store at the old version, and the superseded
+        index snapshots stay valid for in-flight executions that already
+        bound them.  The batch commits with a single ``data_version`` bump —
+        the linearization point every version-stamped reader observes.
+
+        Cost: O(|batch| x indexes on the written relations).  The stored rows
+        visited are those of the buckets the batch touches, never the
+        relation; beyond them a commit takes pointer-level copies of the
+        relation's row list and of one bucket map per distinct index key.
 
         Returns ``{relation: (inserted, deleted)}`` counts for the relations
         the batch changed.  Deletes remove every stored copy of each given
@@ -180,25 +187,27 @@ class Database:
             for name in names:
                 relation = self.relation(name)
                 ins = [relation._validated(row) for row in (inserts or {}).get(name, ())]
-                dels = [relation._validated(row) for row in (deletes or {}).get(name, ())]
-                if ins or dels:
-                    staged.append((name, relation, ins, dels))
+                removed = relation.copies((deletes or {}).get(name, ()))
+                if ins or removed:
+                    staged.append((name, relation, ins, removed))
             if not staged:
                 return {}
+            # Index maintenance runs only once the whole batch has validated,
+            # and still touches nothing a reader can see.
+            successors = [
+                self.indexes.derived(name, inserted=ins, deleted=removed)
+                for name, _relation, ins, removed in staged
+            ]
             counts: dict[str, tuple[int, int]] = {}
             self._write_epoch += 1  # odd: commit in progress
             try:
-                for name, relation, ins, dels in staged:
-                    removed = relation.delete_rows(dels) if dels else []
-                    if ins:
-                        relation.extend(ins)
-                    if not ins and not removed:
-                        continue
-                    self.indexes.apply_writes(name, inserted=ins, deleted=dels)
+                for (name, relation, ins, removed), indexes in zip(staged, successors):
+                    relation.delete_rows(removed)
+                    relation.extend(ins)
+                    self.indexes.publish(indexes)
                     self._relation_versions[name] = self.relation_version(name) + 1
                     counts[name] = (len(ins), len(removed))
-                if counts:
-                    self._data_version += 1
+                self._data_version += 1
             finally:
                 self._write_epoch += 1  # even: committed
             return counts
@@ -249,12 +258,7 @@ class Database:
 
         The returned index charges its probes to this database's counter.
         """
-        relation = self.relation(relation_name)
-        existing = self.indexes.find(relation_name, key, value)
-        if existing is not None:
-            return existing
-        index = HashIndex(relation, key, value, counter=self.counter)
-        return self.indexes.add(index)
+        return self.build_indexes(relation_name, [(key, value)])[0]
 
     def build_indexes(
         self,
@@ -267,7 +271,8 @@ class Database:
         :meth:`build_index`.  Specs already present in the catalog are reused;
         the missing ones are constructed together via
         :meth:`~repro.relational.indexes.HashIndex.build_shared`, so the
-        relation is scanned once no matter how many indexes it backs.
+        relation is scanned once no matter how many indexes it backs, and
+        every index on one key — built now or earlier — shares one bucket map.
         """
         relation = self.relation(relation_name)
         resolved: list[HashIndex | None] = []
@@ -281,13 +286,19 @@ class Database:
                 canonical = (tuple(key), tuple(value) if value is not None else None)
                 missing.setdefault(canonical, []).append(position)
         if missing:
-            built = HashIndex.build_shared(
-                relation, list(missing), counter=self.counter
-            )
-            for positions, index in zip(missing.values(), built):
-                registered = self.indexes.add(index)
-                for position in positions:
-                    resolved[position] = registered
+            # Under the writer lock: an index scanned from pre-commit rows
+            # must not reach the catalog after that commit's successors did.
+            with self._write_lock:
+                built = HashIndex.build_shared(
+                    relation,
+                    list(missing),
+                    counter=self.counter,
+                    existing=self.indexes.indexes_for(relation_name),
+                )
+                for positions, index in zip(missing.values(), built):
+                    registered = self.indexes.add(index)
+                    for position in positions:
+                        resolved[position] = registered
         unresolved = [position for position, index in enumerate(resolved) if index is None]
         if unresolved:  # pragma: no cover - defensive
             raise SchemaError(

@@ -14,11 +14,15 @@ fetch (the paper's ``|D_Q|``).
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any, Iterable, Sequence
 
 from .algebra import row_extractor
 from .relation import Relation
 from .statistics import AccessCounter
+
+Row = tuple[Any, ...]
+Buckets = dict[Row, list[Row]]
 
 
 class HashIndex:
@@ -30,11 +34,28 @@ class HashIndex:
         The indexed relation.
     key:
         Attribute names forming the lookup key ``X``.  An empty key is
-        allowed: all tuples then live under the single key ``()``, which is
-        how bounded-domain access constraints (empty ``X``) are served.
+        allowed and is how bounded-domain access constraints (empty ``X``)
+        are served: the index then keeps no row buckets at all, only the
+        distinct ``value``-projections of the relation with the number of
+        stored rows carrying each (see *Cost model*).
     value:
         Attribute names to return per match.  When omitted, probes return
         whole tuples (the ``X -> (R, N)`` case of the paper).
+    buckets:
+        A prebuilt bucket map to share instead of scanning the relation.
+        Every index on one ``(relation, key)`` holds the *same* map object
+        whatever its value projection; :meth:`build_shared`,
+        :meth:`derived` and the database's catalog pass it along.
+
+    Cost model
+    ----------
+    An index is an immutable snapshot; a write batch produces a successor
+    through :meth:`derived` at a cost measured in the batch, never in
+    ``|relation|``: the rows of the touched buckets are the only stored rows
+    it visits.  A keyed index additionally takes one pointer-level copy of
+    its bucket map (shared by all indexes on that key, so taken once per
+    key) and of its probe memo; an empty-key index updates one counter per
+    written row and re-lists its at most ``N`` distinct projections.
     """
 
     __slots__ = (
@@ -46,6 +67,7 @@ class HashIndex:
         "_project",
         "_buckets",
         "_projected",
+        "_copies",
         "_counter",
     )
 
@@ -55,7 +77,7 @@ class HashIndex:
         key: Sequence[str],
         value: Sequence[str] | None = None,
         counter: AccessCounter | None = None,
-        buckets: dict[tuple[Any, ...], list[tuple[Any, ...]]] | None = None,
+        buckets: Buckets | None = None,
     ) -> None:
         schema = relation.schema
         self.relation = relation
@@ -72,21 +94,26 @@ class HashIndex:
         # race: concurrent probes of one key compute identical values, and
         # the single dict store publishes one of them atomically (GIL).
         # guarded-by: none — idempotent memo, racing writers agree
-        self._projected: dict[tuple[Any, ...], list[tuple[Any, ...]]] = {}
-        if buckets is not None:
-            # Shared-scan construction (build_shared) hands over prebuilt
-            # buckets so one pass over the relation serves many indexes.
-            self._buckets = buckets  # published-snapshot
-        else:
-            self._buckets = {}  # published-snapshot
-            self._build()
+        self._projected: dict[Row, list[Row]] = {}
+        #: Empty-key indexes only: distinct projection -> stored rows carrying
+        #: it.  The keys, in order, are the ``()`` entry of ``_projected``.
+        self._copies: dict[Row, int] | None = None
+        if buckets is None:
+            buckets = {}
+            rows = relation.tuples()
+            if self.key:
+                extract = row_extractor(self._key_positions)
+                for row in rows:
+                    buckets.setdefault(extract(row), []).append(row)
+            else:
+                self._count(rows)
+        self._buckets = buckets  # published-snapshot
 
-    def _build(self) -> None:
-        buckets = self._buckets
-        key_positions = self._key_positions
-        extract = row_extractor(key_positions)
-        for row in self.relation.tuples():
-            buckets.setdefault(extract(row), []).append(row)
+    def _count(self, rows: Iterable[Row]) -> None:
+        """Empty key: take the distinct projections of ``rows`` with multiplicity."""
+        self._copies = dict(Counter(map(self._project, rows)))
+        if self._copies:
+            self._projected[()] = list(self._copies)
 
     @classmethod
     def build_shared(
@@ -94,74 +121,118 @@ class HashIndex:
         relation: Relation,
         specs: Sequence[tuple[Sequence[str], Sequence[str] | None]],
         counter: AccessCounter | None = None,
+        existing: Iterable["HashIndex"] = (),
     ) -> list["HashIndex"]:
         """Build several indexes over ``relation`` with a single scan.
 
         ``specs`` is a sequence of ``(key, value)`` attribute-name pairs, one
-        per requested index.  All bucket dictionaries are filled in one pass
-        over the relation's tuples, so building ``k`` indexes costs one scan
-        instead of ``k`` — the dominant cost for multi-constraint schemas.
+        per requested index.  One bucket map is filled per *distinct* key —
+        specs that differ only in their value projection share it, as do the
+        ``existing`` indexes already built on the relation — in one pass over
+        the relation's tuples, so building ``k`` indexes costs one scan
+        instead of ``k``.  Empty-key specs fill no map; each counts its own
+        distinct projections.
         """
         schema = relation.schema
-        extractors = [row_extractor(schema.positions(tuple(key))) for key, _ in specs]
-        bucket_maps: list[dict[tuple[Any, ...], list[tuple[Any, ...]]]] = [
-            {} for _ in specs
+        maps: dict[tuple[str, ...], Buckets] = {
+            index.key: index._buckets for index in existing
+        }
+        missing = [
+            key for key in dict.fromkeys(tuple(key) for key, _ in specs) if key not in maps
         ]
-        if specs:
-            per_index = list(zip(extractors, bucket_maps))
-            for row in relation.tuples():
+        for key in missing:
+            maps[key] = {}
+        rows = relation.tuples() if specs else []
+        per_index = [
+            (row_extractor(schema.positions(key)), maps[key]) for key in missing if key
+        ]
+        if per_index:
+            for row in rows:
                 for extract, buckets in per_index:
                     buckets.setdefault(extract(row), []).append(row)
-        return [
-            cls(relation, key, value, counter=counter, buckets=buckets)
-            for (key, value), buckets in zip(specs, bucket_maps)
-        ]
+        indexes = []
+        for key, value in specs:
+            index = cls(relation, key, value, counter=counter, buckets=maps[tuple(key)])
+            if not index.key:
+                index._count(rows)
+            indexes.append(index)
+        return indexes
 
     def derived(
         self,
         inserted: Iterable[Sequence[Any]] = (),
         deleted: Iterable[Sequence[Any]] = (),
+        sibling: "HashIndex | None" = None,
     ) -> "HashIndex":
         """A new index equal to this one after applying a write batch (copy-on-write).
 
-        Only the buckets whose key value appears in ``inserted`` or ``deleted``
-        are rebuilt; every untouched bucket (and its memoized distinct
-        projection) is shared with this index by reference.  ``self`` is not
-        modified, so an in-flight execution that already bound this index
-        keeps reading the pre-write snapshot — this is the MVCC-lite seam the
-        live write path builds on.  Deletion removes every copy of each
-        deleted row, mirroring :meth:`Relation.delete_rows`.
+        ``deleted`` lists the stored tuples the batch removed, one entry per
+        removed copy (what :meth:`Relation.delete_rows` returns).  Only the
+        buckets whose key value appears in ``inserted`` or ``deleted`` are
+        rebuilt, each from that bucket alone; every untouched bucket (and its
+        memoized distinct projection) is shared with this index by reference.
+        ``sibling`` is an already-derived successor of another index on the
+        same ``(relation, key)``: its bucket map is shared instead of derived
+        again.  ``self`` is not modified, so an in-flight execution that
+        already bound this index keeps reading the pre-write snapshot — this
+        is the MVCC-lite seam the live write path builds on.
         """
-        extract = row_extractor(self._key_positions)
-        deleted_rows = {tuple(row) for row in deleted}
         inserted_rows = [tuple(row) for row in inserted]
-        touched = {extract(row) for row in deleted_rows}
-        touched.update(extract(row) for row in inserted_rows)
-        buckets = dict(self._buckets)
+        deleted_rows = [tuple(row) for row in deleted]
+        if self._copies is not None:
+            successor = self._successor(self._buckets)
+            copies = self._copies.copy()
+            for projected in map(self._project, deleted_rows):
+                remaining = copies.get(projected, 0) - 1
+                if remaining > 0:
+                    copies[projected] = remaining
+                else:
+                    copies.pop(projected, None)
+            for projected in map(self._project, inserted_rows):
+                copies[projected] = copies.get(projected, 0) + 1
+            successor._copies = copies
+            if copies:
+                successor._projected[()] = list(copies)
+            return successor
+        extract = row_extractor(self._key_positions)
+        added: Buckets = {}
+        for row in inserted_rows:
+            added.setdefault(extract(row), []).append(row)
+        touched = set(added)
+        touched.update(map(extract, deleted_rows))
+        if sibling is not None:
+            buckets = sibling._buckets
+        else:
+            buckets = self._buckets.copy()
+            doomed = set(deleted_rows)
+            for key in touched:
+                rows = [row for row in buckets.get(key, ()) if row not in doomed]
+                rows += added.get(key, ())
+                if rows:
+                    buckets[key] = rows
+                else:
+                    buckets.pop(key, None)
+        successor = self._successor(buckets)
+        # One atomic copy: reader threads memoize into ``_projected`` while
+        # this runs, so it is never iterated in place.
+        memo = self._projected.copy()
         for key in touched:
-            rows = [r for r in buckets.get(key, ()) if r not in deleted_rows]
-            rows.extend(r for r in inserted_rows if extract(r) == key)
-            if rows:
-                buckets[key] = rows
-            else:
-                buckets.pop(key, None)
-        derived = HashIndex(
-            self.relation,
-            self.key,
-            self.value,
-            counter=self._counter,
-            buckets=buckets,
+            memo.pop(key, None)
+        successor._projected = memo
+        return successor
+
+    def _successor(self, buckets: Buckets) -> "HashIndex":
+        return HashIndex(
+            self.relation, self.key, self.value, counter=self._counter, buckets=buckets
         )
-        for key, projected in self._projected.items():
-            if key not in touched:
-                derived._projected[key] = projected
-        return derived
 
     # -- metadata -----------------------------------------------------------------
 
     @property
     def distinct_keys(self) -> int:
         """Number of distinct key values present in the relation."""
+        if self._copies is not None:
+            return 1 if self._copies else 0
         return len(self._buckets)
 
     @property
@@ -172,9 +243,9 @@ class HashIndex:
         lower bound certificate: the data satisfies the constraint only if the
         number of *distinct* ``Y``-values per bucket is at most ``N``.
         """
-        if not self._buckets:
-            return 0
-        return max(len(rows) for rows in self._buckets.values())
+        if self._copies is not None:
+            return sum(self._copies.values())
+        return max(map(len, self._buckets.values()), default=0)
 
     def attach_counter(self, counter: AccessCounter | None) -> None:
         self._counter = counter
@@ -216,15 +287,25 @@ class HashIndex:
         return cached
 
     def probe_full(self, key_value: Sequence[Any]) -> list[tuple[Any, ...]]:
-        """Return full matching tuples without value-projection dedup (counted)."""
-        rows = self._buckets.get(tuple(key_value), [])
+        """Return full matching tuples without value-projection dedup (counted).
+
+        An empty-key index keeps no rows of its own: its one bucket is the
+        relation, read as it is now rather than as of this snapshot.
+        """
+        if self._copies is not None:
+            rows = self.relation.tuples()
+        else:
+            rows = self._buckets.get(tuple(key_value), [])
         if self._counter is not None:
             self._counter.record_probe(len(rows))
         return list(rows)
 
     def contains_key(self, key_value: Sequence[Any]) -> bool:
         """Membership test on the key, charged as a single-tuple probe."""
-        present = tuple(key_value) in self._buckets
+        if self._copies is not None:
+            present = bool(self._copies)
+        else:
+            present = tuple(key_value) in self._buckets
         if self._counter is not None:
             self._counter.record_probe(1 if present else 0)
         return present
@@ -248,18 +329,22 @@ class HashIndex:
         )
 
 
+Spec = tuple[str, tuple[str, ...], tuple[str, ...]]
+
+
 class IndexCatalog:
     """All indices built over the relations of one database.
 
-    The catalog is keyed by ``(relation, key attributes)``; requesting an
-    index that covers a superset of value attributes reuses an existing
-    whole-tuple index when available.
+    The catalog is keyed by ``(relation, key attributes, value attributes)``;
+    all entries on one ``(relation, key)`` share a single bucket map.  A
+    write batch never edits an entry: :meth:`derived` stages copy-on-write
+    successors and :meth:`publish` swaps them in with one atomic update.
     """
 
     __slots__ = ("_indexes",)
 
     def __init__(self) -> None:
-        self._indexes: dict[tuple[str, tuple[str, ...], tuple[str, ...]], HashIndex] = {}
+        self._indexes: dict[Spec, HashIndex] = {}
 
     def add(self, index: HashIndex) -> HashIndex:
         """Register ``index`` and return it (idempotent on identical specs)."""
@@ -289,46 +374,34 @@ class IndexCatalog:
         """All indices built on ``relation``."""
         return [idx for (rel, _k, _v), idx in self._indexes.items() if rel == relation]
 
-    def apply_writes(
+    def derived(
         self,
         relation: str,
-        inserted: Iterable[Sequence[Any]] = (),
-        deleted: Iterable[Sequence[Any]] = (),
-    ) -> int:
-        """Incrementally maintain every index on ``relation`` for a write batch.
+        inserted: Sequence[Row] = (),
+        deleted: Sequence[Row] = (),
+    ) -> dict[Spec, HashIndex]:
+        """Stage the successor of every index on ``relation`` for a write batch.
 
-        Each registered index is replaced by its copy-on-write
-        :meth:`HashIndex.derived` successor — only the touched buckets are
-        rebuilt, never the whole relation — and the superseded objects stay
-        valid for executions that already bound them.  Returns how many
-        indexes were maintained.
+        Pure: nothing registered changes until :meth:`publish`.  Each index
+        is succeeded by its :meth:`HashIndex.derived` copy — the first index
+        on a key derives the shared bucket map (touched buckets only, never
+        the whole relation), the others on that key adopt it — so a batch
+        costs O(|batch| x indexes on the relation), and the superseded
+        objects stay valid for executions that already bound them.
         """
-        if not self._indexes:
-            return 0
-        inserted = [tuple(row) for row in inserted]
-        deleted = [tuple(row) for row in deleted]
-        maintained = 0
+        staged: dict[Spec, HashIndex] = {}
+        first_on_key: dict[tuple[str, ...], HashIndex] = {}
         for spec, index in list(self._indexes.items()):
             if spec[0] != relation:
                 continue
-            self._indexes[spec] = index.derived(inserted=inserted, deleted=deleted)
-            maintained += 1
-        return maintained
+            successor = index.derived(inserted, deleted, first_on_key.get(index.key))
+            first_on_key.setdefault(index.key, successor)
+            staged[spec] = successor
+        return staged
 
-    def discard_relation(self, relation: str) -> int:
-        """Drop every index built on ``relation``; returns how many were dropped.
-
-        Used when the relation's data changes after index construction: the
-        bucket maps (and their memoized distinct projections) are snapshots,
-        so the safe response to new tuples is to forget them and rebuild on
-        next use.
-        """
-        if not self._indexes:
-            return 0  # bulk-load fast path: nothing built yet, nothing to scan
-        stale = [spec for spec in self._indexes if spec[0] == relation]
-        for spec in stale:
-            del self._indexes[spec]
-        return len(stale)
+    def publish(self, staged: dict[Spec, HashIndex]) -> None:
+        """Replace the staged entries' predecessors (one atomic dict update)."""
+        self._indexes.update(staged)
 
     def __len__(self) -> int:
         return len(self._indexes)

@@ -7,7 +7,9 @@ them once; the live write path mutates them only through the batch methods
 :meth:`Relation.delete_where`), which validate every row first and then
 publish the change with a single atomic list operation — a reader holding the
 previous row list (or an index bucket snapshot built from it) never observes a
-half-applied batch.
+half-applied batch.  :meth:`Relation.delete_rows` costs the rows it removes,
+not the relation: victims are found through a row -> positions map built on
+the first delete and kept up by every later write.
 
 Relations expose *counted* and *uncounted* access paths.  The counted paths
 (:meth:`Relation.scan`) report the tuples they touch to an
@@ -29,7 +31,7 @@ from .statistics import AccessCounter, RelationStatistics
 class Relation:
     """A named, schema-conforming multiset of tuples."""
 
-    __slots__ = ("schema", "_rows", "_counter")
+    __slots__ = ("schema", "_rows", "_counter", "_positions")
 
     def __init__(
         self,
@@ -40,6 +42,8 @@ class Relation:
         self.schema = schema
         self._rows: list[tuple[Any, ...]] = []
         self._counter = counter
+        #: row -> its offsets in ``_rows``; ``None`` until a delete needs it.
+        self._positions: dict[tuple[Any, ...], list[int]] | None = None
         for row in rows:
             self.insert(row)
 
@@ -57,7 +61,10 @@ class Relation:
 
     def insert(self, row: Sequence[Any]) -> None:
         """Append a tuple given in schema attribute order."""
-        self._rows.append(self._validated(row))
+        values = self._validated(row)
+        if self._positions is not None:
+            self._positions.setdefault(values, []).append(len(self._rows))
+        self._rows.append(values)
 
     def _validated(self, row: Sequence[Any]) -> tuple[Any, ...]:
         """``row`` as a tuple, or :class:`~repro.errors.ArityError`."""
@@ -87,6 +94,9 @@ class Relation:
         """
         validated = [self._validated(row) for row in rows]
         if validated:
+            if self._positions is not None:
+                for position, row in enumerate(validated, start=len(self._rows)):
+                    self._positions.setdefault(row, []).append(position)
             self._rows.extend(validated)
 
     def delete_where(
@@ -103,8 +113,22 @@ class Relation:
         for row in self._rows:
             (removed if predicate(row) else kept).append(row)
         if removed:
+            self._positions = None
             self._rows = kept
         return removed
+
+    def copies(self, rows: Iterable[Sequence[Any]]) -> list[tuple[Any, ...]]:
+        """Every stored copy of each given tuple, found without a scan.
+
+        What :meth:`delete_rows` would remove: a target stored k times
+        appears k times however often it is named.  Each target is
+        arity-validated.
+        """
+        targets = dict.fromkeys(map(self._validated, rows))
+        if not targets:
+            return []
+        positions = self._row_positions()
+        return [row for row in targets for _ in positions.get(row, ())]
 
     def delete_rows(self, rows: Iterable[Sequence[Any]]) -> list[tuple[Any, ...]]:
         """Remove every copy of each given tuple; return the removed tuples.
@@ -112,11 +136,37 @@ class Relation:
         Matches SQL ``DELETE WHERE`` semantics on a multiset: a target row
         appearing k times in the relation is removed k times regardless of how
         often it appears in ``rows``.  Each target is arity-validated.
+
+        No stored row is scanned: each victim's slot is refilled with the
+        relation's last row (so a delete reorders the survivors) on a private
+        copy of the row list, which is then published with a single rebind.
         """
-        targets = {self._validated(row) for row in rows}
-        if not targets:
+        removed = self.copies(rows)
+        if not removed:
             return []
-        return self.delete_where(lambda row: row in targets)
+        positions = self._row_positions()
+        kept = self._rows.copy()
+        victims = sorted(
+            (slot for row in dict.fromkeys(removed) for slot in positions.pop(row)),
+            reverse=True,
+        )
+        for slot in victims:  # highest first: the last row is never a pending victim
+            last = kept.pop()
+            if slot < len(kept):
+                kept[slot] = last
+                slots = positions[last]
+                slots[slots.index(len(kept))] = slot
+        self._rows = kept
+        return removed
+
+    def _row_positions(self) -> dict[tuple[Any, ...], list[int]]:
+        positions = self._positions
+        if positions is None:
+            positions = {}
+            for position, row in enumerate(self._rows):
+                positions.setdefault(row, []).append(position)
+            self._positions = positions
+        return positions
 
     # -- inspection (uncounted) ----------------------------------------------------
 

@@ -354,15 +354,19 @@ class QueryService:
         inserts: Mapping[str, Iterable[Any]] | None = None,
         deletes: Mapping[str, Iterable[Any]] | None = None,
     ) -> dict[str, tuple[int, int]]:
-        """Commit one atomic write batch and scope-invalidate the serving caches.
+        """Commit one atomic write batch; the engine's compilations survive it.
 
-        The batch commits through the backend (one ``data_version`` bump,
-        incremental index maintenance), then exactly the caches that could
-        serve stale state for the *touched relations* are invalidated: the
-        engine's plan / negative-verdict / prepared caches and the graceful-
-        degradation stale-answer cache.  Entries over untouched relations
-        stay warm.  In-flight requests are unaffected — each one reads the
-        consistent version it bound (``details["data_version"]``).
+        The batch commits through the backend (one ``data_version`` bump; on
+        the in-memory store O(|batch| x indexes on the written relations)).
+        What a write invalidates is what holds *data*: the executor's index
+        snapshot is version-stamped and re-bound on the next request (only
+        the written relations' views), and the graceful-degradation
+        stale-answer cache drops its entries over the touched relations.
+        What it does not touch is analysis — plans, negative EBCheck
+        verdicts, prepared templates and their certificates depend on the
+        query and the access schema only.  In-flight requests are unaffected
+        — each one reads the consistent version it bound
+        (``details["data_version"]``).
 
         Returns the backend's per-relation ``(inserted, deleted)`` counts.
         Thread-safe; may be called concurrently with query traffic.
@@ -374,13 +378,8 @@ class QueryService:
         if not resolved:
             return {}
         counts = self.backend.apply_writes(resolved)
-        self._invalidate_for(tuple(counts))
         if counts:
-            with self._stats_lock:
-                self._write_batches += 1
-                self._rows_written += sum(
-                    inserted + deleted for inserted, deleted in counts.values()
-                )
+            self._committed(counts, sum(i + d for i, d in counts.values()))
         return counts
 
     def insert(self, relation: str, rows: Iterable[Any]) -> int:
@@ -401,23 +400,20 @@ class QueryService:
         if callable(rows_or_predicate):
             removed = self.backend.delete(relation, rows_or_predicate)
             if removed:
-                self._invalidate_for((relation,))
-                with self._stats_lock:
-                    self._write_batches += 1
-                    self._rows_written += removed
+                self._committed((relation,), removed)
             return removed
         counts = self.apply_writes(
             deletes={relation: [tuple(row) for row in rows_or_predicate]}
         )
         return counts.get(relation, (0, 0))[1]
 
-    def _invalidate_for(self, relations: tuple[str, ...]) -> None:
-        """Scope-invalidate every serving-path cache for the written relations."""
-        if not relations:
-            return
-        self.engine.invalidate(relations)
+    def _committed(self, relations: Iterable[str], rows: int) -> None:
+        """After a commit: drop stale answers over ``relations``, count the batch."""
         if self._stale_cache is not None:
             self._stale_cache.invalidate(relations)
+        with self._stats_lock:
+            self._write_batches += 1
+            self._rows_written += rows
 
     # -- the worker loop ---------------------------------------------------------------
 

@@ -494,9 +494,10 @@ class ShardedQueryService:
         FIFO outbox as queries, so per shard a write is ordered exactly
         between the requests admitted before and after it.  Each shard child
         commits its slice through its own service (atomic version bump,
-        incremental index maintenance, scoped cache invalidation next to the
-        data), and the router invalidates its own template caches for the
-        touched relations.
+        incremental index maintenance, stale-answer invalidation next to the
+        data).  The router's own engine holds only templates, routes and
+        certificates — analysis of the query and the access schema — so a
+        write leaves it as it is.
 
         Returns the merged logical per-relation ``(inserted, deleted)``
         counts: summed across shards for partitioned relations, the per-shard
@@ -569,10 +570,6 @@ class ShardedQueryService:
                     # one straggler/crash cannot under-report the logical count.
                     old = merged.get(relation, (0, 0))
                     merged[relation] = (max(old[0], inserted), max(old[1], deleted))
-        # The router's own engine caches templates/certificates over the
-        # written relations; drop exactly those (shard engines already did
-        # their own scoped invalidation next to the data).
-        self.engine.invalidate(resolved.relations)
         with self._lock:
             self._write_batches += 1
             self._rows_written += sum(

@@ -183,9 +183,10 @@ def _apply_writes(
 
     The service path does the whole live-update dance locally: the backend
     commits the batch atomically (one ``data_version`` bump, incremental
-    index maintenance) and the shard's engine/stale caches are invalidated
-    for exactly the touched relations.  Failures travel back typed; the
-    batch either committed (counts) or did not (error) — never half.
+    index maintenance) and the shard's stale-answer cache is invalidated
+    for exactly the touched relations; its compiled templates survive.
+    Failures travel back typed; the batch either committed (counts) or did
+    not (error) — never half.
     """
     try:
         counts = service.apply_writes(message.batch)

@@ -88,10 +88,12 @@ class InMemoryBackend(StorageBackend):
     def apply_writes(self, batch: "WriteBatch") -> dict[str, tuple[int, int]]:
         """Apply one batch through :meth:`Database.apply_writes` (atomic commit).
 
-        The database validates everything first, maintains each touched hash
-        index copy-on-write, and publishes the batch with a single
-        ``data_version`` bump; executions that already bound the superseded
-        index snapshots keep reading their consistent pre-write version.
+        The database validates everything first, stages a copy-on-write
+        successor of each index on a written relation — O(|batch| x indexes
+        on those relations), no stored row outside the touched buckets is
+        visited — and publishes rows, indexes and the single ``data_version``
+        bump together; executions that already bound the superseded index
+        snapshots keep reading their consistent pre-write version.
         """
         return self.database.apply_writes(inserts=batch.inserts, deletes=batch.deletes)
 
@@ -161,8 +163,12 @@ class InMemoryBackend(StorageBackend):
     ) -> AccessIndexes:
         """One hash index per constraint, built shared-scan per relation.
 
-        Constraints are grouped by relation and all of a relation's bucket
-        maps are filled in one pass over its tuples
+        Views this backend still holds fresh (no write to their relation
+        since they were bound) are handed back as they are; only the others
+        are bound anew, so re-preparing after a write batch costs the
+        written relations' constraints, not the schema's.  New views are
+        grouped by relation and all of a relation's bucket maps are filled
+        in one pass over its tuples
         (:meth:`~repro.relational.database.Database.build_indexes`), so a
         schema with many constraints per relation costs one scan per relation
         rather than one per constraint.  Already-built hash indexes are
@@ -170,18 +176,25 @@ class InMemoryBackend(StorageBackend):
         """
         self._check_views_fresh()
         indexes = AccessIndexes()
-        by_relation: dict[str, list[AccessConstraint]] = {}
+        unbound: dict[str, list[AccessConstraint]] = {}
         for constraint in constraints:
             if constraint.relation not in self.database.schema:
                 continue
-            by_relation.setdefault(constraint.relation, []).append(constraint)
-        for relation_name, relation_constraints in by_relation.items():
+            view = self._views.get((constraint, enforce_bounds))
+            if view is None:
+                unbound.setdefault(constraint.relation, []).append(constraint)
+            else:
+                indexes.add(view)
+        for relation_name, relation_constraints in unbound.items():
             specs = [
                 (constraint.x, list(constraint.fetch_attributes))
                 for constraint in relation_constraints
             ]
-            hash_indexes = self.database.build_indexes(relation_name, specs)
+            # Stamp first: a commit landing between the two reads then leaves
+            # a new snapshot under an old stamp (discarded next time), never
+            # an old snapshot under a new one (served forever).
             stamp = self.database.relation_version(relation_name)
+            hash_indexes = self.database.build_indexes(relation_name, specs)
             for constraint, hash_index in zip(relation_constraints, hash_indexes):
                 view = ConstraintIndex(constraint, hash_index, enforce_bound=enforce_bounds)
                 self._views[(constraint, enforce_bounds)] = view

@@ -11,12 +11,15 @@ verifier's contract (completeness lives in ``test_verify.py``).
 from __future__ import annotations
 
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from repro.access.constraint import AccessConstraint
 from repro.access.schema import AccessSchema
 from repro.analysis import verify_compiled, verify_plan, verify_prepared
+from repro.analysis.concurrency import CONCURRENCY_RULES
+from repro.analysis.lint import lint_paths
 from repro.errors import PlanVerificationError
 from repro.execution.compiled import compile_plan, compiled_for
 from repro.planning import qplan
@@ -290,3 +293,72 @@ def test_swapped_projection_rejected_plan006(plan):
     atoms = (replace(program, project=twisted),) + compiled.atoms[1:]
     mutant = replace(compiled, atoms=atoms)
     _rejects("PLAN006", lambda: verify_compiled(mutant))
+
+
+# -- a concurrency mutant of real source: the write-path defect of PR 12 -------------
+
+_INDEXES_SOURCE = (
+    Path(__file__).resolve().parents[2] / "src/repro/relational/indexes.py"
+)
+#: ``HashIndex.derived`` carries the probe memo over with one atomic copy ...
+_ATOMIC_CARRY_OVER = """\
+        memo = self._projected.copy()
+        for key in touched:
+            memo.pop(key, None)
+"""
+#: ... where the original walked the memo its readers insert into.
+_IN_PLACE_CARRY_OVER = """\
+        memo = {}
+        for key, projected in self._projected.items():
+            if key not in touched:
+                memo[key] = projected
+"""
+
+
+def _conc004(tmp_path, source):
+    path = tmp_path / "indexes.py"
+    path.write_text(source)
+    return [f for f in lint_paths([path], CONCURRENCY_RULES) if f.rule == "CONC004"]
+
+
+def test_pristine_index_source_passes_conc004(tmp_path):
+    assert _conc004(tmp_path, _INDEXES_SOURCE.read_text()) == []
+
+
+def test_memo_iterated_in_place_rejected_conc004(tmp_path):
+    pristine = _INDEXES_SOURCE.read_text()
+    assert pristine.count(_ATOMIC_CARRY_OVER) == 1
+    findings = _conc004(
+        tmp_path, pristine.replace(_ATOMIC_CARRY_OVER, _IN_PLACE_CARRY_OVER)
+    )
+    assert len(findings) == 1
+    assert "HashIndex.derived: self._projected is shared lock-free" in findings[0].message
+
+
+@pytest.mark.parametrize(
+    "loop, flagged",
+    [
+        ("for key in self._memo: pass", True),
+        ("for value in self._memo.values(): pass", True),
+        ("return [key for key, _ in self._snap.items()]", True),
+        ("for key in self._memo.copy(): pass", False),
+        ("for key, value in list(self._snap.items()): pass", False),
+        ("return len(self._memo)", False),
+        ("for key in self._plain: pass", False),
+    ],
+)
+def test_in_place_iteration_of_lock_free_structures_conc004(tmp_path, loop, flagged):
+    source = f"""\
+class Shared:
+    def __init__(self):
+        # guarded-by: none — idempotent memo
+        self._memo = {{}}
+        self._snap = {{}}  # published-snapshot
+        self._plain = {{}}
+        for key in self._memo:  # construction: nobody else can see it yet
+            pass
+
+    def walk(self):
+        {loop}
+"""
+    assert bool(_conc004(tmp_path, source)) is flagged

@@ -16,10 +16,12 @@ Three layers of evidence that live updates are safe:
   answer exactly — the no-torn-reads check (a result mixing rows from two
   versions matches *no* prefix).
 
-* **Mutation-style negative tests**: deliberately skip exactly one cache
-  invalidation (compiled-plan, negative-EBCheck, stale-answer) and assert
-  the coherence check catches precisely that seeded defect — evidence the
-  harness has teeth, not just green lights.
+* **Mutation-style negative tests**: a write must outdate exactly what holds
+  data — the stale-answer cache and the executor's bound index snapshot — and
+  nothing that is analysis (plans, negative verdicts, prepared templates and
+  their certificates survive it).  Deliberately skip one of the two hooks and
+  assert precisely one of the two checks catches it — evidence the harness
+  has teeth, not just green lights.
 """
 
 from __future__ import annotations
@@ -367,96 +369,106 @@ def _unbounded_query():
     )
 
 
+#: The write every case below commits: a new photo in album a0 on which a
+#: friend of u0 tags u0, so Q1(album=a0, user=u0) gains a row.
+_BINDING = {"album": "a0", "user": "u0"}
+
+
 def _populate_caches(service: QueryService) -> None:
     """Warm all four serving caches: prepared, plan, negative, stale-answer."""
-    template = _q1_template()
-    service.submit(template, album="a0", user="u0").result(timeout=RESOLVE_TIMEOUT)
+    service.submit(_q1_template(), **_BINDING).result(timeout=RESOLVE_TIMEOUT)
     service.engine.plan(query_q0())
     with pytest.raises(NotEffectivelyBoundedError):
         service.engine.plan(_unbounded_query())
 
 
-def _coherence_leaks(service: QueryService, relations) -> dict[str, int]:
-    """Per-cache count of surviving entries that depend on ``relations``."""
-    caches = {
-        "plan": service.engine._plan_cache,
-        "negative": service.engine._negative_cache,
-        "prepared": service.engine._prepared_cache,
-        "stale": service._stale_cache,
+def _write(service: QueryService) -> Database:
+    """Commit the write; returns the serial oracle's copy with it applied."""
+    friend = next(row[1] for row in service.backend.dump("friends") if row[0] == "u0")
+    batch = {
+        "inserts": {
+            "in_album": [("p_new", "a0")],
+            "tagging": [("p_new", friend, "u0")],
+        }
     }
-    leaks = {}
-    for name, cache in caches.items():
-        if cache is None:
-            continue
-        with cache._lock:
-            count = sum(len(cache._by_relation.get(r, ())) for r in relations)
-        if count:
-            leaks[name] = count
-    return leaks
+    oracle = _clone(service.backend.database)
+    assert set(service.apply_writes(**batch)) == {"in_album", "tagging"}
+    oracle.apply_writes(**batch)
+    return oracle
 
 
-def _assert_caches_coherent(service: QueryService, relations) -> None:
-    leaks = _coherence_leaks(service, relations)
-    assert not leaks, f"cache entries survived a write they depend on: {leaks}"
+def _stale_answer_leaks(service: QueryService, relations) -> int:
+    """Check 1: stale answers still cached over a relation the write touched."""
+    cache = service._stale_cache
+    with cache._lock:
+        return sum(len(cache._by_relation.get(r, ())) for r in relations)
+
+
+def _next_answer_is_current(service: QueryService, oracle: Database) -> bool:
+    """Check 2: the next answer equals the naive oracle's at the committed version."""
+    result = service.submit(_q1_template(), **_BINDING).result(timeout=RESOLVE_TIMEOUT)
+    reference = service.engine.execute_naive(_q1_template().bind(**_BINDING), oracle)
+    assert ("p_new",) in reference.as_set  # the write is visible to the oracle
+    return (
+        result.as_set == reference.as_set
+        and result.details["data_version"] == service.backend.data_version
+    )
 
 
 class TestSeededInvalidationDefects:
-    """Skip exactly one invalidation hook; the coherence check must catch it."""
+    """Skip exactly one of the write path's two hooks; exactly one check dies."""
+
+    def _checks_failed(self, sabotage) -> set[str]:
+        service = _service_with_stale_cache()
+        try:
+            _populate_caches(service)
+            assert _stale_answer_leaks(service, ("in_album", "tagging")) > 0
+            sabotage(service)
+            oracle = _write(service)
+            failed = set()
+            if _stale_answer_leaks(service, ("in_album", "tagging")):
+                failed.add("stale")
+            if not _next_answer_is_current(service, oracle):
+                failed.add("rebind")
+            return failed
+        finally:
+            service.close()
 
     def test_healthy_write_path_is_coherent(self):
-        service = _service_with_stale_cache()
-        try:
-            _populate_caches(service)
-            assert _coherence_leaks(service, ("friends", "tagging")) != {}
-            edge = service.backend.dump("friends")[0]
-            counts = service.apply_writes(
-                inserts={"tagging": [("p_new", "u1", "u0")]},
-                deletes={"friends": [edge]},
-            )
-            assert set(counts) == {"friends", "tagging"}
-            _assert_caches_coherent(service, ("friends", "tagging"))
-            # Behavioral double-check: the next answer reflects the write.
-            template = _q1_template()
-            result = service.submit(template, album="a0", user="u0").result(
-                timeout=RESOLVE_TIMEOUT
-            )
-            naive = service.engine.execute_naive(
-                template.bind(album="a0", user="u0"), service.backend
-            )
-            assert result.as_set == naive.as_set
-        finally:
-            service.close()
-
-    def _run_with_defect(self, broken: str) -> None:
-        service = _service_with_stale_cache()
-        caches = {
-            "plan": lambda: service.engine._plan_cache,
-            "negative": lambda: service.engine._negative_cache,
-            "stale": lambda: service._stale_cache,
-        }
-        try:
-            _populate_caches(service)
-            cache = caches[broken]()
-            cache.invalidate = lambda relations: 0  # the seeded defect
-            edge = service.backend.dump("friends")[0]
-            counts = service.apply_writes(
-                inserts={"tagging": [("p_new", "u1", "u0")]},
-                deletes={"friends": [edge]},
-            )
-            assert set(counts) == {"friends", "tagging"}
-            leaks = _coherence_leaks(service, ("friends", "tagging"))
-            # Exactly the sabotaged cache leaks; every other hook still fired.
-            assert set(leaks) == {broken}
-            with pytest.raises(AssertionError, match=broken):
-                _assert_caches_coherent(service, ("friends", "tagging"))
-        finally:
-            service.close()
-
-    def test_skipped_plan_cache_invalidation_is_caught(self):
-        self._run_with_defect("plan")
-
-    def test_skipped_negative_cache_invalidation_is_caught(self):
-        self._run_with_defect("negative")
+        assert self._checks_failed(lambda service: None) == set()
 
     def test_skipped_stale_cache_invalidation_is_caught(self):
-        self._run_with_defect("stale")
+        def sabotage(service: QueryService) -> None:
+            service._stale_cache.invalidate = lambda relations: 0
+
+        assert self._checks_failed(sabotage) == {"stale"}
+
+    def test_skipped_index_snapshot_rebind_is_caught(self):
+        def sabotage(service: QueryService) -> None:
+            executor = service.engine._bounded_executor
+            bound = executor.prepare(service.backend, service.engine.access_schema)
+            executor._prepare_locked = lambda backend, access_schema: bound
+
+        assert self._checks_failed(sabotage) == {"rebind"}
+
+    def test_compilations_survive_a_write_to_a_relation_they_read(self):
+        service = _service_with_stale_cache()
+        try:
+            _populate_caches(service)
+            engine = service.engine
+            prepared = engine.prepare_query(_q1_template())
+            certificate = prepared.certificate
+            assert certificate is not None
+            plan = engine.plan(query_q0())
+            caches = ("plan", "negative", "prepared")
+            before = {name: engine.cache_info()[name].size for name in caches}
+            oracle = _write(service)
+            # Analysis is data-independent: same objects, certificate attached.
+            assert engine.prepare_query(_q1_template()) is prepared
+            assert prepared.certificate is certificate
+            assert engine.plan(query_q0()) is plan
+            assert {name: engine.cache_info()[name].size for name in caches} == before
+            # ... while the data the next request reads is the written data.
+            assert _next_answer_is_current(service, oracle)
+        finally:
+            service.close()

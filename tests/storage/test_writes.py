@@ -7,6 +7,9 @@ The layers under test, bottom-up:
   ``extend`` publish semantics;
 * :meth:`HashIndex.derived` — copy-on-write incremental maintenance that
   never mutates the superseded snapshot;
+* the write cost model, counted not clocked: the stored rows one
+  ``apply_writes`` visits do not grow with the relation, and every index on
+  one ``(relation, key)`` shares a single bucket map;
 * :meth:`Database.apply_writes` — one version bump per committed batch, the
   seqlock write epoch, per-relation versions, validate-then-publish;
 * both backends' ``insert`` / ``delete`` / ``apply_writes`` / ``read_view``,
@@ -157,6 +160,122 @@ class TestDerivedIndex:
         assert counter.scans == before_scans
 
 
+# -- the cost of a write: counted, not clocked -----------------------------------------
+
+
+class _Cell:
+    """A stored value that counts every hash and comparison made of it.
+
+    Hashing or comparing a stored row (or a key or projection cut from it)
+    hashes or compares its cells, so ``touches`` counts visits of stored
+    rows.  Pointer-level copies of the containers holding them do not.
+    """
+
+    __slots__ = ("value",)
+    touches = 0
+
+    def __init__(self, value) -> None:
+        self.value = value
+
+    def __hash__(self) -> int:
+        _Cell.touches += 1
+        return hash(self.value)
+
+    def __eq__(self, other) -> bool:
+        _Cell.touches += 1
+        return isinstance(other, _Cell) and self.value == other.value
+
+
+_ITEM_SPECS = {
+    "keyed": [(("item_id",), ["group"]), (("item_id",), ["size"])],
+    "empty-key": [((), ["group"]), ((), ["size"])],
+}
+
+
+def _items(cardinality: int, index_kinds) -> Database:
+    """``cardinality`` rows, two per ``item_id``, seven groups, three sizes."""
+    schema = DatabaseSchema([RelationSchema("items", ["item_id", "group", "size"])])
+    db = Database(schema)
+    db.extend(
+        "items",
+        [
+            (_Cell(f"i{n // 2}"), _Cell(f"g{n % 7}"), _Cell(n % 3))
+            for n in range(cardinality)
+        ],
+    )
+    db.build_indexes("items", [spec for kind in index_kinds for spec in _ITEM_SPECS[kind]])
+    # Warm the relation's position map: built once, on the first delete.
+    db.apply_writes(inserts={"items": [(_Cell("warm"), _Cell("g0"), _Cell(0))]})
+    db.apply_writes(deletes={"items": [(_Cell("warm"), _Cell("g0"), _Cell(0))]})
+    return db
+
+
+def _visits(db: Database, **batch) -> int:
+    before = _Cell.touches
+    db.apply_writes(**batch)
+    return _Cell.touches - before
+
+
+class TestWriteCostModel:
+    BASE = 200
+
+    @pytest.mark.parametrize(
+        "index_kinds, operation",
+        [
+            (("keyed",), "insert"),
+            (("empty-key",), "insert"),
+            (("keyed", "empty-key"), "delete"),
+        ],
+    )
+    def test_rows_visited_do_not_grow_with_the_relation(self, index_kinds, operation):
+        counts = []
+        for scale in (1, 8):
+            db = _items(self.BASE * scale, index_kinds)
+            if operation == "insert":
+                batch = {
+                    "inserts": {
+                        "items": [
+                            (_Cell("i0"), _Cell("g1"), _Cell(2)),  # an existing bucket
+                            (_Cell("new"), _Cell("g9"), _Cell(9)),  # a new one
+                        ]
+                    }
+                }
+            else:
+                batch = {"deletes": {"items": db.relation("items").tuples()[10:12]}}
+            counts.append(_visits(db, **batch))
+            assert len(db.relation("items")) == self.BASE * scale + (
+                2 if operation == "insert" else -2
+            )
+        assert counts[0] > 0  # the instrument is live: the batch itself is hashed
+        assert counts[0] == counts[1]
+
+    def test_indexes_on_one_key_share_one_bucket_map(self):
+        db = _items(self.BASE, ("keyed", "empty-key"))
+        # Built later and alone: adopts the map its key already has.
+        db.build_index("items", ["item_id"], ["item_id", "group", "size"])
+        for _ in range(2):
+            indexes = db.indexes.indexes_for("items")
+            assert len(indexes) == 5
+            for key in (("item_id",), ()):
+                assert len({id(i._buckets) for i in indexes if i.key == key}) == 1
+            # ... and their successors after a write still do.
+            db.apply_writes(inserts={"items": [(_Cell("i1"), _Cell("g2"), _Cell(1))]})
+
+    def test_empty_key_index_counts_copies(self):
+        db = _items(self.BASE, ("empty-key",))
+        sizes = db.find_index("items", (), ("size",))
+        assert sorted(row[0].value for row in sizes.probe(())) == [0, 1, 2]
+        lone = (_Cell("solo"), _Cell("g0"), _Cell(7))
+        db.apply_writes(inserts={"items": [lone, lone]})
+        grown = db.find_index("items", (), ("size",))
+        assert sorted(row[0].value for row in grown.probe(())) == [0, 1, 2, 7]
+        # The superseded snapshot is untouched; both copies must go before 7 does.
+        assert sorted(row[0].value for row in sizes.probe(())) == [0, 1, 2]
+        assert db.apply_writes(deletes={"items": [lone]}) == {"items": (0, 2)}
+        shrunk = db.find_index("items", (), ("size",))
+        assert sorted(row[0].value for row in shrunk.probe(())) == [0, 1, 2]
+
+
 # -- Database.apply_writes -----------------------------------------------------------
 
 
@@ -196,6 +315,34 @@ class TestDatabaseApplyWrites:
             )
         assert db.relation("friends").tuples() == before
         assert db.data_version == v0
+
+    def test_failure_while_staging_publishes_nothing(self, monkeypatch):
+        db = _db()
+        db.build_indexes("friends", [(("user_id",), ["friend_id"])])
+        db.build_indexes("tags", [(("photo_id",), ["user_id"])])
+        before = {name: db.relation(name).tuples() for name in ("friends", "tags")}
+        catalog = list(db.indexes)
+        versions = (db.data_version, db.relation_version("friends"))
+        genuine = HashIndex.derived
+
+        def failing(index, *args, **kwargs):
+            if index.relation.name == "tags":  # the second relation of the batch
+                raise RuntimeError("index maintenance failed")
+            return genuine(index, *args, **kwargs)
+
+        monkeypatch.setattr(HashIndex, "derived", failing)
+        with pytest.raises(RuntimeError):
+            db.apply_writes(
+                inserts={"friends": [("u7", "u8")], "tags": [("p7", "u7")]},
+                deletes={"friends": [("u0", "u1")]},
+            )
+        # Old version, whole: rows, catalog entries, versions and epoch.
+        assert {name: db.relation(name).tuples() for name in before} == before
+        assert all(kept is was for kept, was in zip(db.indexes, catalog))
+        assert (db.data_version, db.relation_version("friends")) == versions
+        assert db.write_epoch % 2 == 0
+        monkeypatch.undo()
+        assert db.apply_writes(inserts={"tags": [("p7", "u7")]}) == {"tags": (1, 0)}
 
     def test_deletes_apply_before_inserts_per_relation(self):
         db = _db()
